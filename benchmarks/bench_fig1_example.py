@@ -44,7 +44,10 @@ def test_figure3_and_4_wrappers_generated(benchmark):
     start = lines.index(
         "    def wrapped_CallStaticVoidMethodA(env, *args):"
     )
-    body = "\n".join(lines[start : start + 30])
+    end = lines.index(
+        "    wrappers['CallStaticVoidMethodA'] = wrapped_CallStaticVoidMethodA"
+    )
+    body = "\n".join(lines[start:end])
     assert "rt.local_ref.contains(env, args[0])" in body
     assert "rt.local_ref.report_dangling" in body
     assert "return rt.fail(env, v, None)" in body

@@ -101,52 +101,24 @@ def _recovery_section() -> dict:
         }
 
 
-def _fake_clock(advance):
-    cell = [0]
-
-    def clock():
-        cell[0] += advance[0]
-        return cell[0]
-
-    return clock
-
-
 def _governor_section() -> dict:
     from repro.fuzz.faults import fault_by_name
     from repro.fuzz.engine import task_rng
     from repro.fuzz.gen import generate_sequence
     from repro.fuzz.ops import run_pyc_ops
     from repro.resilience import GovernorPolicy, OverheadGovernor
+    from tests.governor_stub import governed_stub
 
     policy = GovernorPolicy(
         budget=0.3, window=32, sample_period=4, max_period=16, hot_min=16
     )
-    # Part 1 — deterministic control-law check on a fake clock: one hot
-    # pair whose checking is 1000x its raw cost degrades to sampling,
-    # one cold pair stays at full checking, and the sampled-in
-    # accounting is exact (every non-sampled-out call ran the wrapper).
+    # Part 1 — deterministic control-law check on a fake clock, metering
+    # real pipeline entries over a stub table: one hot pair whose
+    # checking is 1000x its raw cost degrades to sampling, one cold pair
+    # stays at full checking, and the sampled-in accounting is exact
+    # (every non-sampled-out call ran the checks).
     gov = OverheadGovernor(policy)
-    advance = [1]
-    gov._clock = _fake_clock(advance)
-    checked_calls = [0]
-
-    def hot_checked(env):
-        checked_calls[0] += 1
-        advance[0] = 1000
-        return "ok"
-
-    def cold_checked(env):
-        advance[0] = 1000
-        return "ok"
-
-    def raw(env):
-        advance[0] = 1
-        return "ok"
-
-    table = gov.instrument_table(
-        {"hot": hot_checked, "cold": cold_checked},
-        {"hot": raw, "cold": raw},
-    )
+    table, checks = governed_stub(gov, {"hot": 1000, "cold": 1000})
     for i in range(400):
         table["hot"](None)
         if i % 100 == 0:  # 4 calls total: far below hot_min
@@ -157,7 +129,7 @@ def _governor_section() -> dict:
         "hot_period": hot_state.period,
         "hot_sampled_out": hot_state.total_sampled_out,
         "cold_period": cold_state.period,
-        "checked_calls": checked_calls[0],
+        "checked_calls": checks.calls["hot"],
         "total_calls": hot_state.total_calls,
     }
     # Part 2 — a real governed workload: a faulty sequence runs under a
@@ -188,7 +160,7 @@ def _governor_section() -> dict:
         and hot_state.total_sampled_out > 0,
         "cold_pair_fully_checked": cold_state.period == 1
         and cold_state.total_sampled_out == 0,
-        "sampled_in_accounting_exact": checked_calls[0]
+        "sampled_in_accounting_exact": checks.calls["hot"]
         == hot_state.total_calls - hot_state.total_sampled_out,
         "workload_cold_pairs_fully_checked": cold_all_full,
         "workload_detection_intact": "owned_ref" in detected,

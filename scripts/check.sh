@@ -5,10 +5,9 @@
 # corpus on 2 workers, gated on stream identity), the fleet storage
 # chaos smoke (fault-injected queue journals, gated on zero lost acks
 # and every corruption detected — run in both ack durability modes),
-# and the quick
-# benchmark gates (write BENCH_interpretive_dispatch.json,
+# and the quick benchmark gates (write BENCH_interpretive_dispatch.json,
 # BENCH_trace_replay.json, BENCH_fuzz.json, BENCH_resilience.json,
-# BENCH_pipeline.json, BENCH_obs.json, and BENCH_fleet.json).
+# BENCH_obs.json, and BENCH_fleet.json).
 #
 # Usage: scripts/check.sh [--no-bench]
 set -euo pipefail
@@ -62,9 +61,6 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 
     echo "== resilience bench gate (quick) =="
     timeout 600 python benchmarks/bench_resilience.py --quick
-
-    echo "== fused pipeline bench gate (quick) =="
-    timeout 600 python benchmarks/bench_pipeline.py --quick
 
     echo "== observability bench gate (quick) =="
     timeout 600 python benchmarks/bench_obs.py --quick

@@ -32,7 +32,6 @@ def _pipeline_section(substrate: str) -> dict:
         plan = agent._pipeline_plan()
     described = plan.describe()
     return {
-        "pipeline": "fused",
         "mode": described["mode"],
         "dispatch": described["dispatch"],
         "functions": described["functions"],
@@ -127,9 +126,8 @@ def _cmd_status(args) -> int:
         )
     )
     print(
-        "pipeline : {} / {} ({}), {} function(s), {} checked site(s)".format(
-            pipeline["mode"], pipeline["pipeline"],
-            " -> ".join(pipeline["stages"]),
+        "pipeline : {} ({}), {} function(s), {} checked site(s)".format(
+            pipeline["mode"], " -> ".join(pipeline["stages"]),
             pipeline["functions"], pipeline["checked_sites"],
         )
     )
@@ -141,10 +139,9 @@ def _cmd_status(args) -> int:
         )
     )
     print(
-        "cache    : {} plan / {} wrapper module(s), {} hit(s) / "
+        "cache    : {} plan module(s), {} hit(s) / "
         "{} miss(es); disk {}: {} hit(s) / {} miss(es), {} write(s)".format(
-            cache["plan_modules"], cache["wrapper_modules"],
-            cache["hits"], cache["misses"],
+            cache["plan_modules"], cache["hits"], cache["misses"],
             "on" if cache["disk_enabled"] else "off",
             cache["disk_hits"], cache["disk_misses"], cache["disk_writes"],
         )

@@ -22,7 +22,6 @@ from repro.core.cache import (
     WRAPPER_CACHE,
     WrapperCache,
     dispatch_for,
-    wrappers_for,
 )
 from repro.core.clock import SYSTEM_CLOCK, Clock, FakeClock, SystemClock
 from repro.core.defaults import (
@@ -55,5 +54,4 @@ __all__ = [
     "default_literal",
     "default_value",
     "dispatch_for",
-    "wrappers_for",
 ]

@@ -1,10 +1,11 @@
-"""repro.pipeline — the unified, fused FFI call path.
+"""repro.pipeline — the FFI call path.
 
-One compiled plan per (runtime, stage set): the interceptor protocol in
-:mod:`repro.pipeline.interceptors` names the four historic wrapping
-layers (machine dispatch, recorder tap, governor meter, containment
-guard); the compiler in :mod:`repro.pipeline.plan` fuses the active
-ones into a single flat entry per ``(function, direction)`` site.
+Every checked crossing goes through one compiled plan per (runtime,
+stage set): the interceptor protocol in
+:mod:`repro.pipeline.interceptors` names the stages (telemetry tap,
+recorder tap, governor meter, machine dispatch, containment guard); the
+compiler in :mod:`repro.pipeline.plan` fuses the active ones into a
+single flat entry per ``(function, direction)`` site.
 """
 
 from repro.pipeline.interceptors import (

@@ -1,17 +1,12 @@
-"""The interceptor protocol for the unified FFI call path.
+"""The interceptor protocol for the FFI call path.
 
-The reproduction historically grew four independent wrapping mechanisms
-around every boundary crossing: the synthesized machine guards (the
-checks themselves), the trace recorder's observer tap, the overhead
-governor's metering proxy, and the containment guard's degradation
-arms.  Each nested its own closure and its own try/except, so a fully
-instrumented call crossed four Python frames before reaching the raw
-function.
-
-This module names those mechanisms as *interceptors* — small objects
-with a common surface — so the :class:`repro.pipeline.plan.PipelinePlan`
-compiler can fuse the active ones into a single flat entry per
-``(function, direction)`` site:
+Four mechanisms act on every boundary crossing: the synthesized machine
+guards (the checks themselves), the trace recorder's tap, the overhead
+governor's meter, and the containment guard's degradation arms.  This
+module names them as *interceptors* — small objects with a common
+surface — so the :class:`repro.pipeline.plan.PipelinePlan` compiler can
+fuse the active ones into a single flat entry per ``(function,
+direction)`` site:
 
 - ``on_call(site)`` / ``on_return(site)`` return a pre-bound hook
   callable for one :class:`CallSite` (or None when the stage has
@@ -74,8 +69,8 @@ class RecorderTap(Interceptor):
 
     The hooks are the recorder's own fused capture closures: the call
     hook appends the call record and returns its sequence number, which
-    the fused entry threads to the return hook so call/return pairing
-    is preserved byte-for-byte against the nested recording entry.
+    the fused entry threads to the return hook to pair the two
+    records.
     """
 
     name = "recorder"
@@ -107,8 +102,8 @@ class GovernorMeter(Interceptor):
     The governor's bookkeeping is too entangled with control flow for a
     hook pair (the sampling branch decides whether the checks run at
     all), so the fused entries inline it; this stage hands the compiler
-    the shared cells (:meth:`shared`) and per-site pair state
-    (:meth:`binding`) the legacy proxy closure used to close over.
+    the shared cells (:meth:`shared`) and the per-site pair state
+    (:meth:`binding`) each entry pre-binds.
     """
 
     name = "governor"
@@ -179,8 +174,8 @@ class ContainmentGuard(Interceptor):
     """The containment ladder as an interceptor (the shared boundary).
 
     The fused entry owns one try/except per contributing machine and
-    routes internal checker faults to ``rt.contain`` — the same ladder
-    the four ad-hoc wrappers shared.  The stage itself only reports.
+    routes internal checker faults to ``rt.contain``.  The stage itself
+    only reports.
     """
 
     name = "containment"

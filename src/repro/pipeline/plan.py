@@ -1,18 +1,19 @@
 """The pipeline plan compiler: fuse interceptors into flat entries.
 
 A :class:`PipelinePlan` takes one checker runtime, the active
-interceptor stages (machine dispatch always; recorder tap, governor
-meter as attached), and the static function table, and produces the
-fused per-``(function, direction)`` entries that replace the legacy
-nesting of recorder proxy → governor proxy → generated wrapper → raw.
+interceptor stages (machine dispatch always; telemetry tap, recorder
+tap, governor meter as attached), and the static function table, and
+produces one fused entry per ``(function, direction)`` site.  It is the
+only call path: the Jinn agent and the Python/C checker install its
+entries and nothing else.
 
 Two compilation strategies, matching the agent's modes:
 
 - ``generated`` / ``interpose``: the synthesizer emits the *entire*
-  fused entry as source (checks, governor counters, recorder hooks all
-  inline — see ``Synthesizer.generate_pipeline_source``) and the plan
-  binds the compiled module to this runtime's stages.  Compiled modules
-  are shared process-wide through ``WrapperCache.plans_for``.
+  entry as source (checks, governor counters, recorder hooks all
+  inline — see ``Synthesizer.generate_source``) and the plan binds the
+  compiled module to this runtime's stages.  Compiled modules are
+  shared process-wide through ``WrapperCache.plans_for``.
 - ``interpretive`` (and its ``fanout`` ablation): no code generation —
   a closure template closes over the pre-resolved
   :class:`~repro.core.dispatch.DispatchIndex` handler list (or the full

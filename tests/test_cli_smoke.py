@@ -508,7 +508,8 @@ class TestStatusCommand:
         status = json.loads(capsys.readouterr().out)
         assert status["schema"] == 1
         assert status["workload"]["substrate"] == "pyc"
-        assert status["pipeline"]["pipeline"] == "fused"
+        assert status["pipeline"]["mode"] == "generated"
+        assert "pipeline" not in status["pipeline"]  # one call path
         assert status["obs"]["crossings"] > 0
         assert status["fleet"]["ok"] is True
         assert status["fleet"]["queue_depth"] == 0

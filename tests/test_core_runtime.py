@@ -94,15 +94,15 @@ class TestFingerprint:
 class TestWrapperCache:
     def test_fingerprint_identical_registries_share_a_module(self):
         cache = WrapperCache()
-        first = cache.wrappers_for(build_registry())
-        second = cache.wrappers_for(build_registry())
+        first = cache.plans_for(build_registry())
+        second = cache.plans_for(build_registry())
         assert first is second
-        assert cache.stats()["wrapper_modules"] == 1
+        assert cache.stats()["plan_modules"] == 1
 
     def test_checking_mode_is_part_of_the_key(self):
         cache = WrapperCache()
-        checking = cache.wrappers_for(build_registry(), checking=True)
-        interposing = cache.wrappers_for(build_registry(), checking=False)
+        checking = cache.plans_for(build_registry(), checking=True)
+        interposing = cache.plans_for(build_registry(), checking=False)
         assert checking is not interposing
 
     def test_custom_registry_reusing_builtin_name_misses_cache(self):
@@ -110,10 +110,10 @@ class TestWrapperCache:
         custom registry reusing a builtin name silently received the
         builtin's wrappers.  Spec identity must miss."""
         cache = WrapperCache()
-        builtin = cache.wrappers_for(SpecRegistry([NullnessSpec()]))
-        custom = cache.wrappers_for(SpecRegistry([DefangedNullnessSpec()]))
+        builtin = cache.plans_for(SpecRegistry([NullnessSpec()]))
+        custom = cache.plans_for(SpecRegistry([DefangedNullnessSpec()]))
         assert builtin is not custom
-        assert cache.stats()["wrapper_modules"] == 2
+        assert cache.stats()["plan_modules"] == 2
 
     def test_defanged_subclass_behaves_defanged_after_builtin_cached(self):
         """End to end: populate the shared cache with the builtin

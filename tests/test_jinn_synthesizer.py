@@ -148,8 +148,26 @@ class TestBuild:
             rt, vm.main_thread.env.function_table()
         )
         assert set(wrappers) == set(functions.FUNCTIONS)
+        assert wrappers["FindClass"].__name__ == "wrapped_FindClass"
         assert callable(factory("Java_X_y", lambda env, this: None))
         vm.shutdown()
+
+    def test_stage_flags_default_off(self, synthesizer, source):
+        assert "def build_wrappers(rt, raw, recorder=None, governor=None," in source
+        assert "recorder." not in source
+        assert "governor." not in source
+        assert "telemetry." not in source
+
+    def test_stages_fuse_into_the_same_wrappers(self, synthesizer):
+        full = synthesizer.generate_source(
+            record=True, govern=True, telemetry=True
+        )
+        assert full.startswith('"""Code generated by the Jinn synthesizer')
+        assert "Stages: telemetry, record, govern, check, contain." in full
+        for name in functions.FUNCTIONS:
+            assert "def wrapped_{}(env, *args):".format(name) in full
+        assert "def make_native_wrapper(method_name, impl):" in full
+        compile(full, "<stages>", "exec")
 
     def test_sub_registry_synthesis(self):
         registry = build_registry().without("nullness", "fixed_typing")

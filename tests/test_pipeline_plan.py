@@ -63,7 +63,7 @@ class TestInterceptorProtocol:
         governor = OverheadGovernor()
         meter = GovernorMeter(governor)
         state = meter.binding(CallSite("NewStringUTF"))
-        # The same PairState object the nested proxy would close over.
+        # The same PairState object every entry of this governor shares.
         assert state is governor.fused_binding("NewStringUTF")
         clock, tick, window, rebalance = meter.shared()
         assert tick is governor._tick
@@ -138,6 +138,15 @@ class TestPlanComposition:
 
 
 class TestPlanEntries:
+    def test_checkers_take_no_pipeline_option(self):
+        # The plan is the only call path: there is nothing to choose.
+        from repro.pyc import PyCChecker
+
+        with pytest.raises(TypeError):
+            JinnAgent(pipeline="fused")
+        with pytest.raises(TypeError):
+            PyCChecker(pipeline="fused")
+
     def test_generated_entries_cover_the_table(self):
         agent = jni_runtime()
         plan = PipelinePlan(agent.rt, agent.registry)

@@ -20,7 +20,7 @@ from repro.core.plancache import (
     plan_digest,
 )
 from repro.jinn.machines import build_registry
-from repro.jinn.synthesizer import PIPELINE_FILENAME
+from repro.jinn.synthesizer import GENERATED_FILENAME
 
 
 FLAGS = {"checking": True, "record": False, "govern": False,
@@ -74,7 +74,7 @@ class TestPlanDigest:
 class TestPlanDiskCache:
     def test_store_then_load_roundtrips_code(self, tmp_path):
         cache = PlanDiskCache(str(tmp_path))
-        code = compile("VALUE = 41 + 1", PIPELINE_FILENAME, "exec")
+        code = compile("VALUE = 41 + 1", GENERATED_FILENAME, "exec")
         cache.store("d" * 64, "VALUE = 41 + 1", code)
         assert cache.writes == 1
         loaded = cache.load("d" * 64)
@@ -82,7 +82,7 @@ class TestPlanDiskCache:
         namespace = {}
         exec(loaded, namespace)
         assert namespace["VALUE"] == 42
-        assert loaded.co_filename == PIPELINE_FILENAME
+        assert loaded.co_filename == GENERATED_FILENAME
         assert cache.stats() == {
             "hits": 1, "misses": 0, "writes": 1, "errors": 0,
         }
@@ -106,7 +106,7 @@ class TestPlanDiskCache:
         # An entry whose header disagrees with its filename digest is
         # stale (renamed, copied, tampered): drop it, count a miss.
         cache = PlanDiskCache(str(tmp_path))
-        code = compile("pass", PIPELINE_FILENAME, "exec")
+        code = compile("pass", GENERATED_FILENAME, "exec")
         cache.store("a" * 64, "pass", code)
         os.rename(
             os.path.join(str(tmp_path), "a" * 64 + ".plan"),
@@ -117,7 +117,7 @@ class TestPlanDiskCache:
 
     def test_truncated_blob_degrades_to_error(self, tmp_path):
         cache = PlanDiskCache(str(tmp_path))
-        code = compile("pass", PIPELINE_FILENAME, "exec")
+        code = compile("pass", GENERATED_FILENAME, "exec")
         cache.store("c" * 64, "pass", code)
         path = os.path.join(str(tmp_path), "c" * 64 + ".plan")
         data = open(path, "rb").read()
@@ -130,7 +130,7 @@ class TestPlanDiskCache:
         target = tmp_path / "blocked"
         target.write_text("a file where the cache dir should be")
         cache = PlanDiskCache(str(target))
-        code = compile("pass", PIPELINE_FILENAME, "exec")
+        code = compile("pass", GENERATED_FILENAME, "exec")
         cache.store("9" * 64, "pass", code)  # must not raise
         assert cache.errors == 1
         assert cache.writes == 0
@@ -233,4 +233,4 @@ class TestEnvironmentGating:
             header = json.loads(f.readline().decode("utf-8"))
         assert header["digest"] == digest
         warm_code = PlanDiskCache(str(tmp_path)).load(digest)
-        assert warm_code.co_filename == PIPELINE_FILENAME
+        assert warm_code.co_filename == GENERATED_FILENAME

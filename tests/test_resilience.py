@@ -38,6 +38,7 @@ from repro.resilience import (
     governed_run,
     injector_plan,
 )
+from tests.governor_stub import governed_stub
 
 
 def _pyc_sequence(seed=5):
@@ -329,40 +330,19 @@ class TestSupervisorParallel:
 # ----------------------------------------------------------------------
 
 
-def _fake_clock(advance):
-    """A deterministic clock: each read advances by ``advance[0]``."""
-    cell = [0]
-
-    def clock():
-        cell[0] += advance[0]
-        return cell[0]
-
-    return clock
-
-
 class TestGovernor:
-    def _governed(self, policy=None):
+    """The control law, metering the real pipeline entries on a fake clock."""
+
+    def _governed(self, costs, policy=None):
         gov = OverheadGovernor(policy or GovernorPolicy(
             budget=0.3, window=16, sample_period=4, max_period=16, hot_min=8
         ))
-        advance = [1]
-        gov._clock = _fake_clock(advance)
-        return gov, advance
+        entries, checks = governed_stub(gov, costs)
+        return gov, entries, checks
 
     def test_hot_expensive_pair_degrades(self):
-        gov, advance = self._governed()
-        checked_calls = [0]
-
-        def checked(env, *args):
-            checked_calls[0] += 1
-            advance[0] = 1000  # expensive checking
-            return "ok"
-
-        def raw(env, *args):
-            advance[0] = 1  # cheap raw call
-            return "ok"
-
-        table = gov.instrument_table({"fn": checked}, {"fn": raw})
+        # Expensive checking (1000 ticks) over a cheap raw call (1 tick).
+        gov, table, _ = self._governed({"fn": 1000})
         for _ in range(200):
             table["fn"](None)
         state = gov.pairs["fn"]
@@ -371,24 +351,7 @@ class TestGovernor:
         assert "fn" in gov.degraded_pairs()
 
     def test_cold_pair_never_degrades(self):
-        gov, advance = self._governed()
-
-        def expensive(env):
-            advance[0] = 5000
-            return "ok"
-
-        def hot_checked(env):
-            advance[0] = 1000
-            return "ok"
-
-        def raw(env):
-            advance[0] = 1
-            return "ok"
-
-        table = gov.instrument_table(
-            {"cold": expensive, "hot": hot_checked},
-            {"cold": raw, "hot": raw},
-        )
+        gov, table, _ = self._governed({"cold": 5000, "hot": 1000})
         for i in range(400):
             table["hot"](None)
             if i % 100 == 0:  # 4 calls total: far below hot_min
@@ -397,47 +360,25 @@ class TestGovernor:
         assert gov.pairs["cold"].total_sampled_out == 0
 
     def test_sampled_in_calls_run_the_real_wrapper(self):
-        gov, advance = self._governed()
-        checked_calls = [0]
-
-        def checked(env):
-            checked_calls[0] += 1
-            advance[0] = 1000
-            return "checked"
-
-        def raw(env):
-            advance[0] = 1
-            return "raw"
-
-        table = gov.instrument_table({"fn": checked}, {"fn": raw})
+        gov, table, checks = self._governed({"fn": 1000})
         results = [table["fn"](None) for _ in range(300)]
         state = gov.pairs["fn"]
         assert state.period > 1
-        # Sampled-in calls returned the checked wrapper's result — the
-        # governor swaps nothing, it only skips — and the accounting is
-        # exact: every non-sampled-out call went through the wrapper.
-        assert "checked" in results
-        assert checked_calls[0] == state.total_calls - state.total_sampled_out
+        # Sampled-in calls ran the generated checks — the governor swaps
+        # nothing, it only skips — and the accounting is exact: every
+        # non-sampled-out call went through them.
+        assert results == ["raw"] * 300
+        assert checks.calls["fn"] > 0
+        assert checks.calls["fn"] == state.total_calls - state.total_sampled_out
         assert state.total_calls == 300
 
     def test_restore_when_load_drops(self):
-        gov, advance = self._governed()
-
-        def checked(env):
-            advance[0] = checked_cost[0]
-            return "ok"
-
-        def raw(env):
-            advance[0] = 1
-            return "ok"
-
-        checked_cost = [1000]
-        table = gov.instrument_table({"fn": checked}, {"fn": raw})
+        gov, table, checks = self._governed({"fn": 1000})
         for _ in range(200):
             table["fn"](None)
         degraded_period = gov.pairs["fn"].period
         assert degraded_period > 1
-        checked_cost[0] = 1  # checking is now as cheap as raw
+        checks.costs["fn"] = 1  # checking is now as cheap as raw
         for _ in range(400):
             table["fn"](None)
         assert gov.pairs["fn"].period < degraded_period
@@ -451,10 +392,7 @@ class TestGovernor:
             GovernorPolicy(sample_period=1)
 
     def test_report_shape(self):
-        gov, _ = self._governed()
-        table = gov.instrument_table(
-            {"fn": lambda env: None}, {"fn": lambda env: None}
-        )
+        gov, table, _ = self._governed({"fn": 1})
         table["fn"](None)
         report = gov.report()
         assert set(report) == {
