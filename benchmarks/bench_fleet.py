@@ -14,8 +14,8 @@ job for CPU amplification:
   full 1/2/4 scaling curve is reported for EXPERIMENTS.md E15.
 
 - **determinism** (``stream_identical_ok``) — the 4-worker merged
-  violation stream must be byte-identical to the single-process
-  ``replay_sharded`` baseline, and identical across every worker
+  violation stream must be byte-identical to the in-process
+  ``replay_paths`` reference, and identical across every worker
   count, steal interleaving notwithstanding.
 
 - **queue recovery** (``recovery_ok``) — a worker process draining a
@@ -415,7 +415,7 @@ def _plan_cache_gate() -> dict:
 
 
 def run_fleet_quick(out_path: str) -> dict:
-    from repro.trace.replay import replay_sharded
+    from repro.trace.replay import replay_paths
 
     paths = _corpus_paths()
     report = {
@@ -427,7 +427,7 @@ def run_fleet_quick(out_path: str) -> dict:
         "cpu_count": os.cpu_count(),
     }
 
-    baseline = replay_sharded(paths, shards=1)
+    baseline = replay_paths(paths)
     report["baseline_events"] = baseline.event_count
 
     curve = []

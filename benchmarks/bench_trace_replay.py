@@ -1,19 +1,21 @@
 """Trace record/replay performance gate (``BENCH_trace_replay.json``).
 
-Three acceptance criteria for the ``repro.trace`` subsystem, measured
+Two acceptance criteria for the ``repro.trace`` subsystem, measured
 on a recorded four-benchmark corpus.  Where a paper-style bound does
 not transfer to this substrate, the bound that *does* hold is gated and
 the raw substrate numbers are reported alongside — the same convention
 ``bench_table3_overhead.py`` uses for Table 3's overhead claims.
 
-- **replay speed** (``replay_rate_ok``) — the sharded replay's
-  critical-path event rate must be >= 5x the live pipeline's event
-  rate.  The live pipeline rate is what producing the trace costs
-  end-to-end (checked run with the recorder attached, plus encode and
-  write at ``close()``): offline re-checking earns its keep when
-  replaying a trace N times — against N candidate spec registries —
-  beats recording N live runs.  The single-shard wall rate is reported
-  too.
+- **replay speed** (``replay_rate_ok``) — the per-file replay rate
+  must be >= 5x the live pipeline's event rate.  The per-file rate is
+  the corpus's events over the slowest single file's replay CPU
+  seconds (``replay_paths(...).worker_seconds``, best of trials): the
+  critical path of a fleet replay with one job per file.  The live
+  pipeline rate is what producing the trace costs end-to-end (checked
+  run with the recorder attached, plus encode and write at
+  ``close()``): offline re-checking earns its keep when replaying a
+  trace N times — against N candidate spec registries — beats
+  recording N live runs.  The serial wall rate is reported too.
 
 - **record overhead** (``record_overhead_ok``) — recording must cost
   nothing on a *plain* run, i.e. when no recorder is attached.  The
@@ -31,13 +33,8 @@ the raw substrate numbers are reported alongside — the same convention
   time; it does not transfer to a substrate whose workloads are 100%
   transitions, so it is reported rather than asserted.
 
-- **shard speedup** (``shard_speedup_ok``) — sharded replay must cut
-  the critical path: total in-worker CPU seconds over the slowest
-  single worker's CPU seconds must exceed 1.0.  CPU time is the
-  scheduler-independent measure; the wall-clock speedup is reported
-  alongside with the machine's CPU count, because on a single-CPU
-  container (this one) concurrent workers timeshare one core and a
-  wall speedup is physically unavailable at any software layer.
+Parallel replay runs on the fleet; ``bench_fleet.py`` measures its
+scaling.
 """
 
 import json
@@ -49,9 +46,8 @@ from benchmarks.conftest import write_bench_json
 
 #: Corpus benchmarks: eight distinct operation mixes.  Each records a
 #: fixed event *target* (rather than paper-scaled transition counts) so
-#: the trace files are comparably sized: sharded replay's critical path
-#: is the largest file, so even files at fine granularity are what let
-#: sharding cut it.
+#: the trace files are comparably sized: the per-file critical path is
+#: the largest file.
 QUICK_BENCHMARKS = [
     "luindex",
     "jess",
@@ -64,7 +60,6 @@ QUICK_BENCHMARKS = [
 ]
 QUICK_EVENTS_PER_TRACE = 6000
 QUICK_TRIALS = 3
-QUICK_SHARDS = 8
 
 
 def _iterations(name: str) -> int:
@@ -115,15 +110,14 @@ def _record_run(name: str, path: str) -> int:
 
 
 def run_replay_quick(out_path: str) -> dict:
-    """Measure the three gates; write and return the JSON report."""
-    from repro.trace.replay import replay_path, replay_sharded
+    """Measure the two gates; write and return the JSON report."""
+    from repro.trace.replay import replay_paths
     from repro.workloads.dacapo import run_workload
 
     report = {
         "benchmarks": QUICK_BENCHMARKS,
         "events_per_trace_target": QUICK_EVENTS_PER_TRACE,
         "trials": QUICK_TRIALS,
-        "shards": QUICK_SHARDS,
         "cpu_count": os.cpu_count(),
     }
     with tempfile.TemporaryDirectory() as corpus_dir:
@@ -190,44 +184,31 @@ def run_replay_quick(out_path: str) -> dict:
         report["record"]["attached_overhead"] = attached_seconds / unobserved
         report["record"]["pipeline_overhead"] = pipeline_seconds / unobserved
 
-        # -- replay: serial, then sharded.  Wall and CPU metrics each
-        # take their own best over trials.
+        # -- replay: serial, in-process.  Wall, total CPU and the
+        # slowest file's CPU each take their own best over trials.
         serial_seconds = None
         serial_cpu = None
+        critical = None
         serial = None
         for _ in range(QUICK_TRIALS):
             start = time.perf_counter()
-            serial = replay_sharded(paths, shards=1)
+            serial = replay_paths(paths)
             wall = time.perf_counter() - start
             cpu = sum(serial.worker_seconds)
             if serial_seconds is None or wall < serial_seconds:
                 serial_seconds = wall
             if serial_cpu is None or cpu < serial_cpu:
                 serial_cpu = cpu
-        assert serial.event_count == events
-        sharded_wall = None
-        critical = None
-        sharded = None
-        for _ in range(QUICK_TRIALS):
-            start = time.perf_counter()
-            sharded = replay_sharded(paths, shards=QUICK_SHARDS)
-            wall = time.perf_counter() - start
-            if sharded_wall is None or wall < sharded_wall:
-                sharded_wall = wall
-            trial_critical = sharded.critical_path_seconds
+            trial_critical = serial.critical_path_seconds
             if critical is None or trial_critical < critical:
                 critical = trial_critical
-        assert sharded.event_count == events
-        assert sharded.violations == serial.violations
+        assert serial.event_count == events
         report["replay"] = {
             "serial_wall_seconds": serial_seconds,
             "serial_cpu_seconds": serial_cpu,
             "single_shard_events_per_second": events / serial_seconds,
-            "sharded_wall_seconds": sharded_wall,
             "critical_path_seconds": critical,
             "critical_path_events_per_second": events / critical,
-            "critical_path_speedup": serial_cpu / critical,
-            "wall_speedup": serial_seconds / sharded_wall,
         }
         report["replay"]["rate_ratio"] = (
             report["replay"]["critical_path_events_per_second"] / live_rate
@@ -247,12 +228,10 @@ def run_replay_quick(out_path: str) -> dict:
     report["gate"] = {
         "replay_rate_ok": report["replay"]["rate_ratio"] >= 5.0,
         "record_overhead_ok": report["record"]["plain_run_overhead"] <= 1.10,
-        "shard_speedup_ok": report["replay"]["critical_path_speedup"] > 1.0,
     }
     write_bench_json(out_path, report, thresholds={
         "replay_rate_ratio_min": 5.0,
         "record_overhead_max": 1.10,
-        "shard_critical_path_speedup_min": 1.0,
     })
     return report
 
@@ -286,8 +265,8 @@ def main(argv=None) -> int:
         )
     )
     print(
-        "replay: critical path {:.0f} ev/s vs live pipeline {:.0f} ev/s "
-        "({:.1f}x, gate >= 5x); single-shard {:.0f} ev/s".format(
+        "replay: per-file critical path {:.0f} ev/s vs live pipeline "
+        "{:.0f} ev/s ({:.1f}x, gate >= 5x); serial {:.0f} ev/s".format(
             replay["critical_path_events_per_second"],
             record["pipeline_events_per_second"],
             replay["rate_ratio"],
@@ -300,15 +279,6 @@ def main(argv=None) -> int:
             record["plain_run_overhead"],
             record["attached_overhead"],
             record["pipeline_overhead"],
-        )
-    )
-    print(
-        "shards: critical-path speedup {:.2f}x with {} shards "
-        "(gate > 1.0x); wall speedup {:.2f}x on {} CPU(s)".format(
-            replay["critical_path_speedup"],
-            report["shards"],
-            replay["wall_speedup"],
-            report["cpu_count"],
         )
     )
     print("report written to {}".format(args.out))

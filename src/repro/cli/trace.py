@@ -61,11 +61,11 @@ def _cmd_trace_record(args) -> int:
 
 
 def _cmd_trace_replay(args) -> int:
-    from repro.trace.replay import replay_path, replay_sharded
+    from repro.trace.replay import replay_path, replay_paths
 
     if getattr(args, "timeout", None) is not None:
-        if len(args.paths) > 1 or args.shards > 1:
-            print("--timeout supervises a single unsharded trace")
+        if len(args.paths) > 1:
+            print("--timeout supervises a single trace")
             return 2
         return supervised_one(
             "replay",
@@ -84,10 +84,8 @@ def _cmd_trace_replay(args) -> int:
             result, _ = fleet_replay(
                 args.paths, workers=args.workers, force=args.force
             )
-        elif len(args.paths) > 1 or args.shards > 1:
-            result = replay_sharded(
-                args.paths, shards=args.shards, force=args.force
-            )
+        elif len(args.paths) > 1:
+            result = replay_paths(args.paths, force=args.force)
         else:
             result = replay_path(args.paths[0], force=args.force)
     except TraceFormatError as exc:
@@ -105,17 +103,26 @@ def _cmd_trace_replay(args) -> int:
     print("violations: {}".format(len(violations)))
     for report in violations:
         print("  " + report)
-    recorded = getattr(result, "recorded_reports", None)
-    if recorded:
-        status = "match" if recorded == violations else "DRIFT"
-        print("recorded stream: {} ({} violations)".format(
-            status, len(recorded)
+    per_file = getattr(result, "per_file", None)
+    if per_file is None:
+        streams = [("", result.recorded_reports, violations)]
+    else:
+        streams = [
+            (" in " + path, recorded, [text for _, text in reports])
+            for path, reports, _, recorded in per_file
+        ]
+    drift = False
+    for where, recorded, replayed in streams:
+        if not recorded:
+            continue
+        status = "match" if recorded == replayed else "DRIFT"
+        print("recorded stream: {} ({} violations){}".format(
+            status, len(recorded), where
         ))
-        if status == "DRIFT":
-            # The replayed checker disagrees with what the live checker
-            # logged into this same trace: a checker bug, not a clean run.
-            return 1
-    return 0
+        # The replayed checker disagrees with what the live checker
+        # logged into this same trace: a checker bug, not a clean run.
+        drift = drift or status == "DRIFT"
+    return 1 if drift else 0
 
 
 def _cmd_trace_diff(args) -> int:
@@ -183,9 +190,6 @@ def add_parsers(sub) -> None:
 
     replay = trace_sub.add_parser("replay", help="re-check recorded traces")
     replay.add_argument("paths", nargs="+", help="trace files")
-    replay.add_argument(
-        "--shards", type=int, default=1, help="parallel replay processes"
-    )
     replay.add_argument(
         "--workers", type=int, default=0,
         help="run on the fleet fabric with N work-stealing workers",

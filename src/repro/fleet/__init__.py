@@ -1,6 +1,6 @@
 """repro.fleet: a work-stealing multi-process execution fabric.
 
-Every checking workload the repo can run — replay shards, fuzz
+Every checking workload the repo can run — trace replays, fuzz
 campaigns, chaos rounds, bench trials, corpus builds — becomes a typed
 :class:`~repro.fleet.jobs.Job` with a deterministic ID, flows through a
 crash-safe persistent :class:`~repro.fleet.queue.JobQueue` (the same

@@ -297,6 +297,7 @@ def _execute_replay_shard(job: Job) -> dict:
         "reports": [[seq, text] for seq, text in result.reports],
         "events": result.event_count,
         "violations": result.violations,
+        "recorded": result.recorded_reports,
     }
 
 

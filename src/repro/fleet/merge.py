@@ -4,16 +4,14 @@ Every merge here is keyed by job ID and ordered by the *submitted* job
 list, so the merged violation stream, the assembled fuzz/chaos
 reports, and the ObsHub snapshot are byte-identical whether the fleet
 ran on one worker or sixteen, and regardless of how stealing
-interleaved execution.  Within one replay job, reports carry their
-trace sequence numbers, so even a future thread-sharded split of a
-single file restores stream order by ``(job order, seq)``.
+interleaved execution.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fleet.jobs import Job
 from repro.fleet.scheduler import FleetReport
@@ -39,28 +37,20 @@ def _payloads(report: FleetReport, kind: str) -> List[dict]:
 def merge_replay(report: FleetReport) -> ShardedReplayResult:
     """Fold replay-shard payloads into a :class:`ShardedReplayResult`.
 
-    Files keep submission order; reports within a file sort by trace
-    seq (several jobs may shard one file).  The result is shaped
-    exactly like :func:`repro.trace.replay.replay_sharded`'s, so the
-    obs publisher and the CLI consume either interchangeably.
+    One job per file, in submission order, and each job's reports are
+    already in trace seq order, so the result is shaped exactly like
+    :func:`repro.trace.replay.replay_paths`'s and the CLI consumes
+    either interchangeably.
     """
-    by_path: Dict[str, List] = {}
-    order: List[str] = []
-    for payload in _payloads(report, "replay-shard"):
-        path = payload["path"]
-        if path not in by_path:
-            by_path[path] = [[], 0]
-            order.append(path)
-        by_path[path][0].extend(
-            (seq, text) for seq, text in payload["reports"]
-        )
-        by_path[path][1] += payload["events"]
-    merged = ShardedReplayResult(report.workers)
+    merged = ShardedReplayResult()
     merged.worker_seconds = list(report.worker_busy_seconds)
-    for path in order:
-        reports, events = by_path[path]
-        reports.sort(key=lambda item: item[0])
-        merged.add(path, reports, events)
+    for payload in _payloads(report, "replay-shard"):
+        merged.add(
+            payload["path"],
+            [tuple(item) for item in payload["reports"]],
+            payload["events"],
+            payload["recorded"],
+        )
     return merged
 
 

@@ -2,10 +2,10 @@
 
 Each ``fleet_*`` function builds the ordered job list, runs the
 work-stealing scheduler, and merges through :mod:`repro.fleet.merge`.
-The pre-fleet single-process paths (``replay_sharded``, ``fuzz_run``,
-``chaos_run``, ``build_corpus``) stay in the tree as parity baselines,
-and the determinism tests assert the fleet reproduces them byte for
-byte.
+The fleet is the only parallel runner.  The single-process paths
+(``replay_paths``, ``fuzz_run``, ``chaos_run``, ``build_corpus``) are
+the reference implementations: the determinism tests assert the fleet
+reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ def fleet_replay(
 ) -> Tuple[ShardedReplayResult, FleetReport]:
     """Replay trace files on the fleet; one job per file.
 
-    Parity baseline: :func:`repro.trace.replay.replay_sharded` over the
-    same paths — identical merged violation stream and event count.
+    Reference implementation: :func:`repro.trace.replay.replay_paths`
+    over the same paths — identical merged violation stream and event
+    count.
     """
     jobs = replay_jobs(
         paths, force=force, fingerprint=fingerprint, repeats=repeats
@@ -94,8 +95,8 @@ def fleet_fuzz(
 ) -> Tuple[Dict[str, object], FleetReport]:
     """Run a fuzz campaign on the fleet; one job per campaign slice.
 
-    Parity baseline: :func:`repro.fuzz.engine.fuzz_run` — the merged
-    report is byte-identical JSON.
+    Reference implementation: :func:`repro.fuzz.engine.fuzz_run` — the
+    merged report is byte-identical JSON.
     """
     jobs = fuzz_jobs(seed, rounds=rounds, substrate=substrate, segments=segments)
     report = _run(
@@ -115,7 +116,7 @@ def fleet_chaos(
 ) -> Tuple[Dict[str, object], FleetReport]:
     """Run chaos rounds on the fleet; one job per substrate.
 
-    Parity baseline: :func:`repro.resilience.chaos.chaos_run`.
+    Reference implementation: :func:`repro.resilience.chaos.chaos_run`.
     """
     jobs = chaos_jobs(seed, substrate=substrate, rounds=rounds)
     report = _run(
@@ -136,8 +137,8 @@ def fleet_corpus(
 ) -> Tuple[Dict[str, object], FleetReport]:
     """Build the regression corpus on the fleet; one job per fault.
 
-    Parity baseline: :func:`repro.fuzz.corpus.build_corpus` — identical
-    manifest and trace files.
+    Reference implementation: :func:`repro.fuzz.corpus.build_corpus` —
+    identical manifest and trace files.
     """
     jobs = corpus_jobs(seed, substrate=substrate, segments=segments)
     report = _run(
@@ -171,15 +172,15 @@ def fleet_smoke(
     **kwargs,
 ) -> Dict[str, object]:
     """The CI smoke: replay the regression corpus on the fleet and
-    verify the merged stream matches the single-process baseline.
+    verify the merged stream matches the in-process reference.
 
     Returns a report dict whose ``ok`` summarizes: every job clean or
     violation (corpus traces *do* re-fire violations), zero crashes or
     hangs, and a merged violation stream byte-identical to
-    ``replay_sharded`` with one process.
+    :func:`repro.trace.replay.replay_paths`.
     """
     from repro.fuzz.corpus import load_manifest
-    from repro.trace.replay import replay_sharded
+    from repro.trace.replay import replay_paths
 
     if corpus_dir is None:
         corpus_dir = shipped_corpus_dir()
@@ -195,16 +196,16 @@ def fleet_smoke(
     merged, report = fleet_replay(
         paths, workers=workers, queue_path=queue_path, **kwargs
     )
-    baseline = replay_sharded(paths, shards=1)
+    reference = replay_paths(paths)
     stream = violation_stream(report)
-    identical = stream == baseline.violations
+    identical = stream == reference.violations
     counts = report.counts
     ok = (
         identical
         and counts["crash"] == 0
         and counts["hang"] == 0
         and counts["expired"] == 0
-        and merged.event_count == baseline.event_count
+        and merged.event_count == reference.event_count
     )
     return {
         "ok": ok,

@@ -81,13 +81,39 @@ class TestTraceSubcommands:
         assert "replayed" in printed
         assert "match" in printed  # replay vs recorded stream
 
-    def test_replay_sharded_multi_file(self, trace_dir, capsys):
+    def test_replay_multi_file(self, trace_dir, capsys):
         paths = [
             str(trace_dir / "micro.trace"),
             str(trace_dir / "pyc.trace"),
         ]
-        assert main(["trace", "replay", "--shards", "2"] + paths) == 0
+        assert main(["trace", "replay"] + paths) == 0
         assert "2 trace(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--workers", "2"]], ids=["serial", "fleet"]
+    )
+    def test_multi_file_replay_reports_drift(
+        self, trace_dir, tmp_path, extra, capsys
+    ):
+        # A GlobalLeak trace whose logged leak report no longer matches
+        # what replay re-detects, next to an untouched trace.
+        tampered = tmp_path / "drift.trace"
+        assert main(
+            ["trace", "record", "GlobalLeak", "-o", str(tampered)]
+        ) == 0
+        text = tampered.read_text()
+        assert text.count('["v","global reference never deleted') == 1
+        tampered.write_text(text.replace(
+            '["v","global reference never deleted',
+            '["v","global reference deleted twice',
+        ))
+        capsys.readouterr()
+        paths = [str(tampered), str(trace_dir / "micro.trace")]
+        assert main(["trace", "replay"] + paths + extra) == 1
+        printed = capsys.readouterr().out
+        drift = "recorded stream: DRIFT (1 violations) in " + paths[0]
+        assert drift in printed
+        assert "recorded stream: match" in printed
 
     def test_diff_identical_traces(self, trace_dir, capsys):
         path = str(trace_dir / "micro.trace")
@@ -268,7 +294,7 @@ class TestResilienceSubcommands:
     def test_supervise_parallel_shards(self, capsys):
         assert main(
             ["resilience", "supervise", "fuzz:3", "fuzz:4",
-             "--substrate", "pyc", "--parallel", "2", "--timeout", "120"]
+             "--substrate", "pyc", "--timeout", "120"]
         ) == 0
         printed = capsys.readouterr().out
         assert '"ok": true' in printed
@@ -558,7 +584,7 @@ PRE_SPLIT_ARGVS = [
     ["demo", "ExceptionState", "--checker", "xcheck", "--vendor", "J9"],
     ["dispatch", "--substrate", "pyc"],
     ["trace", "record", "t", "-o", "x", "--journal", "j", "--sync-every", "4"],
-    ["trace", "replay", "a", "b", "--shards", "2", "--force"],
+    ["trace", "replay", "a", "b", "--force"],
     ["trace", "replay", "a", "--timeout", "5"],
     ["trace", "diff", "old", "new", "--force"],
     ["trace", "corpus", "-o", "d", "--scale", "10", "--benchmarks", "x"],
@@ -587,8 +613,8 @@ def test_pre_split_surface_still_parses(argv):
     assert args.command == argv[0]
 
 
-#: The fleet-era additions: the fleet group plus the --workers/--parallel
-#: flags grafted onto the pre-existing commands.
+#: The fleet-era additions: the fleet group plus the --workers flags
+#: grafted onto the pre-existing commands.
 FLEET_ERA_ARGVS = [
     ["fleet", "run", "--smoke", "--workers", "2", "--queue", "q", "--json"],
     ["fleet", "run", "a", "b", "--kind", "replay", "--workers", "4",
@@ -603,7 +629,6 @@ FLEET_ERA_ARGVS = [
     ["fleet", "drain", "--queue", "q", "--workers", "2", "--json"],
     ["trace", "replay", "a", "b", "--workers", "2", "--force"],
     ["fuzz", "run", "--workers", "2", "--substrate", "pyc"],
-    ["resilience", "supervise", "fuzz:1", "--parallel", "4"],
 ]
 
 #: The fleet-hardening additions: storage chaos, journal compaction,

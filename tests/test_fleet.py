@@ -422,6 +422,7 @@ def _replay_outcome(path, reports, events=0):
             "reports": [list(item) for item in reports],
             "events": events,
             "violations": [text for _, text in sorted(reports)],
+            "recorded": [],
         },
     )
 
@@ -523,10 +524,10 @@ class TestWorkStealingDeterminism:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        from repro.trace.replay import replay_sharded
+        from repro.trace.replay import replay_paths
 
         paths = _corpus_paths()
-        baseline = replay_sharded(paths, shards=1)
+        baseline = replay_paths(paths)
         results = {
             workers: fleet_replay(paths, workers=workers)
             for workers in self.WORKER_COUNTS
@@ -681,10 +682,10 @@ class TestBatchedScheduler:
         assert all(o.classification == CLEAN for o in report.outcomes)
 
     def test_process_batched_stream_matches_baseline(self):
-        from repro.trace.replay import replay_sharded
+        from repro.trace.replay import replay_paths
 
         paths = _corpus_paths()
-        baseline = replay_sharded(paths, shards=1)
+        baseline = replay_paths(paths)
         merged, report = fleet_replay(paths, workers=2, batch=4)
         assert violation_stream(report) == baseline.violations
         assert merged.event_count == baseline.event_count

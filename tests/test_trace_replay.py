@@ -1,4 +1,4 @@
-"""Record/replay round-trip parity, sharding, and the fingerprint guard.
+"""Record/replay round-trip parity, multi-file replay, fingerprint guard.
 
 The tentpole contract: replaying a trace through the interpretive
 dispatch path re-detects *byte-identical* violation reports, in the
@@ -13,7 +13,7 @@ from repro.jinn.machines import build_registry
 from repro.trace import TraceRecorder
 from repro.trace.diff import diff_reports, render_diff
 from repro.trace.format import TraceFingerprintError
-from repro.trace.replay import replay_path, replay_sharded
+from repro.trace.replay import replay_path, replay_paths
 from repro.workloads.dacapo import run_workload
 from repro.workloads.microbench import MICROBENCHMARKS, scenario_by_name
 from repro.workloads.outcomes import run_scenario
@@ -157,20 +157,17 @@ class TestShardedReplay:
 
     def test_multi_file_shards_merge_in_input_order(self, tmp_path):
         paths, expected = self._corpus(tmp_path)
-        sharded = replay_sharded(paths, shards=3)
-        assert sharded.violations == expected
-        serial = replay_sharded(paths, shards=1)
-        assert sharded.violations == serial.violations
-        assert sharded.event_count == serial.event_count
-
-    def test_single_file_thread_shards_match_unsharded(self, tmp_path):
-        path = tmp_path / "t.trace"
-        live = record_micro("ExceptionState", path)
-        sharded = replay_sharded([str(path)], shards=2)
-        assert sharded.violations == live
+        merged = replay_paths(paths)
+        assert merged.violations == expected
+        # Each file carries the stream its live checker logged.
+        recorded = [line for *_, lines in merged.per_file for line in lines]
+        assert recorded == expected
+        assert merged.event_count == sum(
+            replay_path(path).event_count for path in paths
+        )
 
     def test_workers_report_cpu_seconds(self, tmp_path):
         paths, _ = self._corpus(tmp_path)
-        sharded = replay_sharded(paths, shards=3)
-        assert len(sharded.worker_seconds) == 3
-        assert sharded.critical_path_seconds == max(sharded.worker_seconds)
+        merged = replay_paths(paths)
+        assert len(merged.worker_seconds) == 3
+        assert merged.critical_path_seconds == max(merged.worker_seconds)
