@@ -5,6 +5,8 @@
 # corpus on 2 workers, gated on stream identity), the fleet storage
 # chaos smoke (fault-injected queue journals, gated on zero lost acks
 # and every corruption detected — run in both ack durability modes),
+# the perfbench smoke (3 s of live-table3, gated on every verdict being
+# right, so a hot-path rewrite that flags a correct kernel fails here),
 # and the quick benchmark gates (write BENCH_interpretive_dispatch.json,
 # BENCH_trace_replay.json, BENCH_fuzz.json, BENCH_resilience.json,
 # BENCH_obs.json, and BENCH_fleet.json).
@@ -48,6 +50,12 @@ timeout 300 python -m repro.cli fleet chaos --smoke
 
 echo "== fleet storage chaos smoke (group-commit durability window) =="
 timeout 300 python -m repro.cli fleet chaos --smoke --sync group
+
+echo "== perfbench smoke (live-table3, correct verdicts, no failed op) =="
+perf_result=$(timeout 300 python3 perfbench/run.py --workload live-table3 \
+    --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$perf_result"
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$perf_result"
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== dispatch-index bench gate (quick) =="

@@ -15,9 +15,9 @@ every process after the first warm-starts:
   table's full metadata, the stage flags (checking/record/govern/
   telemetry), the interpreter's ``cache_tag`` (compiled code is
   bytecode-version specific), and a *generator salt* hashing the
-  source files behind the synthesis — the synthesizer module and every
-  spec class's defining file — so editing emit logic can never revive
-  a stale plan.
+  source files behind the synthesis — the synthesizer module, the
+  return-kind defaults, the function selectors and every spec class's
+  defining file — so editing emit logic can never revive a stale plan.
 - **Value**: one file ``<digest>.plan`` holding a JSON header line, a
   base64 ``marshal`` blob of the compiled code object, and the
   generated source appended for human inspection.  Writes are
@@ -94,10 +94,25 @@ def plan_digest(registry, function_table, flags: Dict[str, bool]) -> str:
     # The generator salt: the files whose code *produces* the plan.
     # The fingerprint names spec classes but does not hash their emit
     # bodies — a stale plan surviving an emit-logic edit would be a
-    # silent wrong-checker bug, so hash the defining sources too.
+    # silent wrong-checker bug, so hash the defining sources too: the
+    # synthesizer, the return-kind defaults it bakes into every
+    # ``rt.fail`` literal, and the function selectors (the native-method
+    # wildcard, the shared JNI ones) that decide which wrapper gets
+    # which checks.
+    from repro.core import defaults as defaults_module
+    from repro.fsm import machine as fsm_machine_module
     from repro.jinn import synthesizer as synthesizer_module
+    from repro.jinn.machines import common as selectors_module
 
-    salt_files = {_source_file(synthesizer_module)}
+    salt_files = {
+        _source_file(module)
+        for module in (
+            synthesizer_module,
+            defaults_module,
+            fsm_machine_module,
+            selectors_module,
+        )
+    }
     for spec in registry:
         salt_files.add(_source_file(type(spec)))
     if function_table is None:

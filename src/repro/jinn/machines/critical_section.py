@@ -84,8 +84,9 @@ class CriticalSectionEncoding(Encoding):
             tally[resource.object_id] = count - 1
 
     def check_sensitive(self, env, function: str) -> None:
-        tally = self._tally()
-        if any(count > 0 for count in tally.values()):
+        # release() deletes a count when it reaches zero, so any entry
+        # is a held resource.
+        if self.tallies.get(self.vm.current_thread.thread_id):
             raise violation(
                 "{} called inside a JNI critical section; only the four "
                 "critical get/release functions are legal here.".format(
@@ -97,7 +98,7 @@ class CriticalSectionEncoding(Encoding):
             )
 
     def in_critical(self) -> bool:
-        return any(count > 0 for count in self._tally().values())
+        return bool(self.tallies.get(self.vm.current_thread.thread_id))
 
     def on_event(self, ctx) -> None:
         if ctx.meta is None:

@@ -43,7 +43,10 @@ class FixedTypingEncoding(Encoding):
         self.vm = vm
 
     def require_reference(self, env, function, args, index, name) -> None:
-        value = args[index] if index < len(args) else None
+        try:
+            value = args[index]
+        except IndexError:  # a short variadic call: nothing passed
+            return
         if value is None or isinstance(value, JRef):
             return
         raise violation(
@@ -58,7 +61,10 @@ class FixedTypingEncoding(Encoding):
         )
 
     def require_id(self, env, function, args, index, name, id_kind) -> None:
-        value = args[index] if index < len(args) else None
+        try:
+            value = args[index]
+        except IndexError:
+            return
         if value is None:
             return
         wanted = JMethodID if id_kind == "jmethodID" else JFieldID
@@ -76,13 +82,14 @@ class FixedTypingEncoding(Encoding):
         )
 
     def require_type(self, env, function, args, index, name, fixed_type) -> None:
-        value = args[index] if index < len(args) else None
+        try:
+            value = args[index]
+        except IndexError:
+            return
         if not isinstance(value, JRef):
             return
         target = value.target
-        if target is None:
-            return
-        if conforms(self.vm, target, fixed_type):
+        if target is None or conforms(self.vm, target, fixed_type):
             return
         raise violation(
             "Parameter '{}' of {} is a {} but must be {}.".format(

@@ -232,7 +232,11 @@ class LocalRefEncoding(Encoding):
         """
         if not isinstance(handle, JRef) or handle.kind != "local":
             return True
-        return any(handle.serial in frame.refs for frame in self._stack())
+        serial = handle.serial
+        for frame in self.stacks.get(self.vm.current_thread.thread_id, ()):
+            if serial in frame.refs:
+                return True
+        return False
 
     def report_dangling(self, env, function: str, handle) -> None:
         """Raise the Figure 4 ``Error: dangling`` violation."""

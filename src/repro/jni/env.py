@@ -86,13 +86,17 @@ class JNIEnv:
             setattr(self, name, self._make_entry(name))
 
     def _make_entry(self, name: str):
-        meta = functions.FUNCTIONS[name]
+        vm = self.vm
+        table = self._table
 
         def entry(*args):
-            return self._dispatch(name, meta, args)
+            vm.transition_count += 2  # Call:C->Java and Return:Java->C
+            return table[name](self, *args)
 
         entry.__name__ = name
-        entry.__doc__ = "JNI function {} (family {}).".format(name, meta.family)
+        entry.__doc__ = "JNI function {} (family {}).".format(
+            name, functions.FUNCTIONS[name].family
+        )
         return entry
 
     def function_table(self) -> Dict[str, Callable]:
@@ -105,10 +109,6 @@ class JNIEnv:
         if unknown:
             raise KeyError("not JNI functions: {}".format(sorted(unknown)))
         self._table.update(table)
-
-    def _dispatch(self, name: str, meta: functions.FunctionMeta, args):
-        self.vm.transition_count += 2  # Call:C->Java and Return:Java->C
-        return self._table[name](self, *args)
 
     # ------------------------------------------------------------------
     # Handle resolution (raw semantics, vendor-defined failure)
@@ -659,7 +659,7 @@ def _make_call_impl(meta: functions.FunctionMeta):
         # Raw entity sanity: a production JVM trusts the caller; the
         # simulator notices impossible combinations and lets the vendor
         # decide (J9 crashes, HotSpot barrels on).
-        param_descs, _ = descriptors.parse_method_descriptor(method.descriptor)
+        param_descs = method.signature[0]
         mismatch = None
         if len(values) != len(param_descs):
             mismatch = "argument count {} != {}".format(
@@ -1132,6 +1132,11 @@ def _with_hazards(meta: functions.FunctionMeta, raw_fn: Callable) -> Callable:
     call — and may warn or abort — *before* the production hazard fires,
     as on a real JVM.
     """
+    name = meta.name
+    exception_oblivious = meta.exception_oblivious
+    critical_safe = meta.critical_safe
+    nonnull = tuple((i, meta.params[i].name) for i in meta.nonnull_param_indices)
+    default = _DEFAULT_RESULTS.get(meta.returns)
 
     def hazardous(env, *args):
         vm = env.vm
@@ -1140,34 +1145,38 @@ def _with_hazards(meta: functions.FunctionMeta, raw_fn: Callable) -> Callable:
             vm.misuse(
                 "env_mismatch",
                 "JNIEnv of {} used on {} in {}".format(
-                    thread.describe(), vm.current_thread.describe(), meta.name
+                    thread.describe(), vm.current_thread.describe(), name
                 ),
                 vm.current_thread,
             )
-        if thread.pending_exception is not None and not meta.exception_oblivious:
+        if thread.pending_exception is not None and not exception_oblivious:
             vm.misuse(
                 "pending_exception_ignored",
                 "{} called with {} pending".format(
-                    meta.name, thread.pending_exception.describe()
+                    name, thread.pending_exception.describe()
                 ),
                 thread,
             )
-        if thread.in_critical_section() and not meta.critical_safe:
+        # Released critical resources leave no zero counts behind, so a
+        # non-empty tally means the thread is inside a critical section.
+        if thread.critical_tally and not critical_safe:
             vm.misuse(
                 "critical_violation",
-                "{} called inside a JNI critical section".format(meta.name),
+                "{} called inside a JNI critical section".format(name),
                 thread,
             )
-        for index in meta.nonnull_param_indices:
-            if index < len(args) and args[index] is None:
+        for index, param in nonnull:
+            try:
+                value = args[index]
+            except IndexError:  # a short call; later indices are larger
+                break
+            if value is None:
                 vm.misuse(
                     "null_argument",
-                    "{}: parameter '{}' is null".format(
-                        meta.name, meta.params[index].name
-                    ),
+                    "{}: parameter '{}' is null".format(name, param),
                     thread,
                 )
-                return _DEFAULT_RESULTS.get(meta.returns)
+                return default
         return raw_fn(env, *args)
 
     hazardous.__name__ = "raw_" + meta.name

@@ -16,6 +16,7 @@ callable functions (the C function table has 233 slots, 4 reserved).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 #: Parameter/return type vocabulary.  Reference kinds are handle types C
@@ -117,17 +118,19 @@ class FunctionMeta:
     #: Call<Type>Method or the call mode ("virtual"/"nonvirtual"/"static").
     extra: Tuple[Tuple[str, object], ...] = ()
 
-    # -- derived views used by the synthesizer -----------------------------
+    # -- derived views, computed on first read and then constant -----------
+    # (cached_property writes the instance __dict__ directly, so it works
+    # on a frozen dataclass and stays out of eq, hash and repr.)
 
-    @property
+    @cached_property
     def reference_param_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.params) if p.is_reference)
 
-    @property
+    @cached_property
     def id_param_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.params) if p.is_id)
 
-    @property
+    @cached_property
     def nonnull_param_indices(self) -> Tuple[int, ...]:
         return tuple(
             i
@@ -135,7 +138,7 @@ class FunctionMeta:
             if p.is_pointerish and not p.nullable
         )
 
-    @property
+    @cached_property
     def fixed_type_params(self) -> Tuple[Tuple[int, object], ...]:
         return tuple(
             (i, p.fixed_type)
@@ -143,15 +146,16 @@ class FunctionMeta:
             if p.fixed_type is not None
         )
 
-    @property
+    @cached_property
     def returns_reference(self) -> bool:
         return self.returns in REFERENCE_JTYPES
 
+    @cached_property
+    def _extra_map(self) -> Dict[str, object]:
+        return dict(self.extra)
+
     def extra_value(self, key: str, default=None):
-        for k, v in self.extra:
-            if k == key:
-                return v
-        return default
+        return self._extra_map.get(key, default)
 
 
 def _p(name, jtype, nullable=False, fixed_type=None) -> ParamSpec:

@@ -18,6 +18,11 @@ def conforms(vm, target: JObject, fixed_type) -> bool:
     (``[I``; ``[L`` for any object array; ``[*`` for any array), or a
     tuple of alternatives.
     """
+    # Both hosts register every class under its name, so an exact name
+    # match is the wanted class itself.  Array descriptors still take
+    # the checks below: a class name says nothing of the object's shape.
+    if target.jclass.name == fixed_type and fixed_type[0] != "[":
+        return True
     if isinstance(fixed_type, tuple):
         return any(conforms(vm, target, ft) for ft in fixed_type)
     if fixed_type == "[*":

@@ -64,7 +64,14 @@ def parse_field_descriptor(descriptor: str) -> str:
 
 
 @functools.lru_cache(maxsize=4096)
-def _parse_method_descriptor_cached(descriptor: str) -> Tuple[Tuple[str, ...], str]:
+def parse_method_descriptor(descriptor: str) -> Tuple[Tuple[str, ...], str]:
+    """Split ``(...)R`` into parameter descriptors and return descriptor.
+
+    Results are immutable tuples, cached per descriptor string.  The
+    crossings themselves read :attr:`repro.jvm.model.JMethod.signature`,
+    which holds this parse for each method from its first use on, as
+    real Jinn records a signature once, when the method ID is created.
+    """
     if not descriptor.startswith("("):
         raise DescriptorError("method descriptor must start with '(': " + descriptor)
     close = descriptor.find(")")
@@ -81,17 +88,6 @@ def _parse_method_descriptor_cached(descriptor: str) -> Tuple[Tuple[str, ...], s
     if ret == "V":
         return tuple(params), "V"
     return tuple(params), parse_field_descriptor(ret)
-
-
-def parse_method_descriptor(descriptor: str) -> Tuple[List[str], str]:
-    """Split ``(...)R`` into parameter descriptors and return descriptor.
-
-    Parses are cached: method descriptors repeat at every call through a
-    method ID, exactly as real Jinn records signatures once at ID
-    creation time.
-    """
-    params, ret = _parse_method_descriptor_cached(descriptor)
-    return list(params), ret
 
 
 def is_reference_descriptor(descriptor: str) -> bool:

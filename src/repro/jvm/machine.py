@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.jvm import descriptors
 from repro.jvm.classes import bootstrap
 from repro.jvm.errors import JavaException, SimulatedCrash, VMShutdownError
-from repro.jvm.exceptions import JThrowable, StackFrame
+from repro.jvm.exceptions import JThrowable
 from repro.jvm.heap import Heap
 from repro.jvm.jvmti import AgentHost, JVMTIAgent
 from repro.jvm.model import JArray, JClass, JField, JMethod, JObject, JString
@@ -64,6 +64,8 @@ class JavaVM:
         self.vendor = vendor
         self.heap = Heap()
         self.classes: Dict[str, JClass] = {}
+        #: Inverse of each class's ``class_object``, by object id.
+        self._class_by_object_id: Dict[int, JClass] = {}
         self.threads: List[JThread] = []
         self.local_frame_capacity = local_frame_capacity
         self.gc_stress = gc_stress
@@ -130,14 +132,18 @@ class JavaVM:
     def class_object_of(self, jclass: JClass) -> JObject:
         """The ``java/lang/Class`` instance for a class (created lazily)."""
         if jclass.class_object is None:
-            jclass.class_object = self.new_object(self.require_class("java/lang/Class"))
+            class_object = self.new_object(self.require_class("java/lang/Class"))
+            jclass.class_object = class_object
+            self._class_by_object_id[class_object.object_id] = jclass
         return jclass.class_object
 
     def class_of_class_object(self, class_object: JObject) -> Optional[JClass]:
         """Inverse of :meth:`class_object_of`; None if not a class object."""
-        for jclass in self.classes.values():
-            if jclass.class_object is class_object:
-                return jclass
+        jclass = self._class_by_object_id.get(class_object.object_id)
+        # Object ids restart with every VM: only this VM's own class
+        # object for the class counts.
+        if jclass is not None and jclass.class_object is class_object:
+            return jclass
         return None
 
     # -- declaration helpers ----------------------------------------------
@@ -318,13 +324,7 @@ class JavaVM:
         the behaviour the exception-state machine polices.
         """
         self._require_alive()
-        frame = StackFrame(
-            method.declaring_class.name,
-            method.name,
-            location="{}.java".format(method.declaring_class.name.split("/")[-1]),
-            is_native=method.is_native,
-        )
-        thread.push_frame(frame)
+        thread.push_frame(method.frame)
         pinned = [a for a in args if isinstance(a, JObject)]
         if receiver is not None:
             pinned.append(receiver)
@@ -340,8 +340,7 @@ class JavaVM:
         except JavaException as je:
             if from_native:
                 thread.pending_exception = je.throwable
-                _, ret = descriptors.parse_method_descriptor(method.descriptor)
-                return descriptors.default_value(ret)
+                return descriptors.default_value(method.signature[1])
             raise
         finally:
             del thread.java_stack[len(thread.java_stack) - len(pinned) :]
@@ -373,8 +372,7 @@ class JavaVM:
                 for a in args
             ]
             result = method.native_impl(env, this, *handles)
-            _, ret_descriptor = descriptors.parse_method_descriptor(method.descriptor)
-            if descriptors.is_reference_descriptor(ret_descriptor):
+            if descriptors.is_reference_descriptor(method.signature[1]):
                 # The handle must be resolved while the frame is alive.
                 result = env.resolve_reference(
                     result, context="return of " + method.describe()

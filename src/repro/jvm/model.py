@@ -10,6 +10,7 @@ workloads can define "Java code" that calls back into native code.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.jvm.errors import SimulatedCrash
@@ -239,6 +240,25 @@ class JMethod:
     @property
     def key(self) -> Tuple[str, str]:
         return (self.name, self.descriptor)
+
+    @cached_property
+    def signature(self) -> Tuple[Tuple[str, ...], str]:
+        """``(parameter descriptors, return descriptor)``, parsed on first use."""
+        from repro.jvm.descriptors import parse_method_descriptor
+
+        return parse_method_descriptor(self.descriptor)
+
+    @cached_property
+    def frame(self):
+        """The immutable ``StackFrame`` every invocation of the method pushes."""
+        from repro.jvm.exceptions import StackFrame
+
+        return StackFrame(
+            self.declaring_class.name,
+            self.name,
+            location="{}.java".format(self.declaring_class.name.split("/")[-1]),
+            is_native=self.is_native,
+        )
 
     def describe(self) -> str:
         return "{}.{}{}".format(self.declaring_class.name, self.name, self.descriptor)

@@ -63,7 +63,8 @@ class JThread:
     # -- critical sections --------------------------------------------------
 
     def in_critical_section(self) -> bool:
-        return any(count > 0 for count in self.critical_tally.values())
+        # release_critical deletes a count when it reaches zero.
+        return bool(self.critical_tally)
 
     def acquire_critical(self, resource: JObject) -> None:
         self.critical_tally[resource.object_id] = (

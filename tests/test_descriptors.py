@@ -52,18 +52,18 @@ class TestFieldDescriptors:
 
 class TestMethodDescriptors:
     def test_no_args_void(self):
-        assert parse_method_descriptor("()V") == ([], "V")
+        assert parse_method_descriptor("()V") == ((), "V")
 
     def test_paper_example(self):
         params, ret = parse_method_descriptor(
             "(Ljava/lang/List;Ljava/util/Comparator;)V"
         )
-        assert params == ["Ljava/lang/List;", "Ljava/util/Comparator;"]
+        assert params == ("Ljava/lang/List;", "Ljava/util/Comparator;")
         assert ret == "V"
 
     def test_mixed_params(self):
         params, ret = parse_method_descriptor("(I[JLjava/lang/String;)I")
-        assert params == ["I", "[J", "Ljava/lang/String;"]
+        assert params == ("I", "[J", "Ljava/lang/String;")
         assert ret == "I"
 
     def test_reference_return(self):

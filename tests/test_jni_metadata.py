@@ -1,5 +1,7 @@
 """Tests for the JNI function metadata table (the Table 2 fact base)."""
 
+import dataclasses
+
 import pytest
 
 from repro.jni import functions
@@ -140,6 +142,40 @@ class TestDerivedViews:
         assert meta.extra_value("result_kind") == "I"
         assert meta.extra_value("mode") == "static"
         assert meta.extra_value("missing", 7) == 7
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_cached_views_match_a_fresh_recomputation(self, name):
+        # The views are computed once per record and then read as
+        # constants on every crossing; each must equal its definition.
+        meta = FUNCTIONS[name]
+        params = list(enumerate(meta.params))
+        assert meta.reference_param_indices == tuple(
+            i for i, p in params if p.jtype in functions.REFERENCE_JTYPES
+        )
+        assert meta.id_param_indices == tuple(
+            i for i, p in params if p.jtype in functions.ID_JTYPES
+        )
+        assert meta.nonnull_param_indices == tuple(
+            i
+            for i, p in params
+            if p.jtype in functions.POINTER_JTYPES and not p.nullable
+        )
+        assert meta.fixed_type_params == tuple(
+            (i, p.fixed_type) for i, p in params if p.fixed_type is not None
+        )
+        assert meta.returns_reference == (
+            meta.returns in functions.REFERENCE_JTYPES
+        )
+        for key, value in meta.extra:
+            assert meta.extra_value(key) == value
+        assert meta.extra_value("no such key", "dflt") == "dflt"
+        # The caches live outside the dataclass fields: a record stays
+        # hashable, equal to a freshly built copy, and keeps its repr,
+        # which the plan cache hashes for custom tables.
+        fresh = dataclasses.replace(meta)  # built anew from the fields
+        assert fresh == meta
+        assert hash(fresh) == hash(meta)
+        assert repr(fresh) == repr(meta)
 
     def test_variadic_triples_share_semantics(self):
         for base in ("CallVoidMethod", "CallStaticObjectMethod"):

@@ -54,6 +54,22 @@ class TestClassModel:
         obj = vm.new_object("java/lang/Object")
         assert vm.class_of_class_object(obj) is None
 
+    def test_class_of_class_object_round_trips_every_class(self, vm):
+        vm.define_class("demo/Widget")
+        vm.new_array("I", 2)  # creates the "[I" class lazily
+        vm.find_class("[Ljava/lang/String;")
+        assert "[I" in vm.classes
+        for jclass in list(vm.classes.values()):
+            assert vm.class_of_class_object(vm.class_object_of(jclass)) is jclass
+
+    def test_unowned_class_instance_is_not_a_class_object(self, vm):
+        # A java/lang/Class instance no class owns, created after every
+        # class object exists, is still not a class object.
+        for jclass in list(vm.classes.values()):
+            vm.class_object_of(jclass)
+        stray = vm.new_object("java/lang/Class")
+        assert vm.class_of_class_object(stray) is None
+
 
 class TestMethodsAndFields:
     def test_find_method_walks_superclasses(self, vm):

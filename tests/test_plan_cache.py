@@ -70,6 +70,28 @@ class TestPlanDigest:
         monkeypatch.setattr(plancache, "_FILE_DIGESTS", perturbed)
         assert plan_digest(registry, None, FLAGS) != before
 
+    @pytest.mark.parametrize(
+        "module_name",
+        ["repro.core.defaults", "repro.fsm.machine", "repro.jinn.machines.common"],
+    )
+    def test_digest_includes_emitted_constant_sources(self, module_name, monkeypatch):
+        # The return-kind defaults are baked into every emitted
+        # ``rt.fail(env, v, <default>)``, and the selectors decide which
+        # wrapper gets which checks: editing either must not revive a
+        # plan generated from the old text.
+        import importlib
+
+        import repro.core.plancache as plancache
+
+        registry = build_registry()
+        before = plan_digest(registry, None, FLAGS)
+        source_path = plancache._source_file(importlib.import_module(module_name))
+        assert source_path is not None
+        perturbed = dict(plancache._FILE_DIGESTS)
+        perturbed[source_path] = "0" * 64
+        monkeypatch.setattr(plancache, "_FILE_DIGESTS", perturbed)
+        assert plan_digest(registry, None, FLAGS) != before
+
 
 class TestPlanDiskCache:
     def test_store_then_load_roundtrips_code(self, tmp_path):

@@ -40,7 +40,7 @@ def test_field_descriptor_parse_is_identity(descriptor):
 def test_method_descriptor_roundtrip(params, ret):
     descriptor = "({}){}".format("".join(params), ret)
     parsed_params, parsed_ret = descriptors.parse_method_descriptor(descriptor)
-    assert parsed_params == params
+    assert parsed_params == tuple(params)
     assert parsed_ret == ret
 
 
@@ -48,7 +48,7 @@ def test_method_descriptor_roundtrip(params, ret):
 def test_void_method_descriptor_roundtrip(params):
     descriptor = "({})V".format("".join(params))
     parsed_params, parsed_ret = descriptors.parse_method_descriptor(descriptor)
-    assert parsed_params == params
+    assert parsed_params == tuple(params)
     assert parsed_ret == "V"
 
 
