@@ -1,5 +1,7 @@
 """Unit tests for the eleven state machine specifications and encodings."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fsm import Direction, FFIViolation
@@ -196,6 +198,14 @@ class TestFixedTypingMachine:
         )
 
 
+def _entity_check(enc, function, args):
+    """Run the check line the generator emits for ``function``."""
+    (line,) = EntityTypingSpec().emit(
+        functions.FUNCTIONS[function], Direction.CALL_NATIVE_TO_MANAGED
+    )
+    exec(line, {"rt": SimpleNamespace(entity_typing=enc), "env": None, "args": args})
+
+
 class TestEntityTypingMachine:
     def _setup(self, plain_vm):
         plain_vm.define_class("te/C")
@@ -214,7 +224,7 @@ class TestEntityTypingMachine:
         enc = EntityTypingSpec().make_encoding(plain_vm)
         mid = JMethodID(cls.find_method("f", "(I)I"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
-        enc.check(None, "CallStaticIntMethodA", (clazz, mid, [4]))
+        _entity_check(enc, "CallStaticIntMethodA", (clazz, mid, [4]))
 
     def test_argument_type_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -223,7 +233,7 @@ class TestEntityTypingMachine:
         clazz = JRef("local", plain_vm.class_object_of(cls))
         bad = JRef("local", plain_vm.new_string("no"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticIntMethodA", (clazz, mid, [bad]))
+            _entity_check(enc, "CallStaticIntMethodA", (clazz, mid, [bad]))
 
     def test_argument_count_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -231,7 +241,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("f", "(I)I"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticIntMethodA", (clazz, mid, []))
+            _entity_check(enc, "CallStaticIntMethodA", (clazz, mid, []))
 
     def test_result_kind_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -239,7 +249,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("f", "(I)I"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticVoidMethodA", (clazz, mid, [4]))
+            _entity_check(enc, "CallStaticVoidMethodA", (clazz, mid, [4]))
 
     def test_static_call_of_instance_method_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -247,7 +257,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("g", "()V"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticVoidMethodA", (clazz, mid, []))
+            _entity_check(enc, "CallStaticVoidMethodA", (clazz, mid, []))
 
     def test_eclipse_pattern_subclass_not_declaring_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -259,7 +269,7 @@ class TestEntityTypingMachine:
             plain_vm.class_object_of(plain_vm.require_class("te/Sub")),
         )
         with pytest.raises(FFIViolation) as exc_info:
-            enc.check(None, "CallStaticIntMethodA", (sub, mid, [1]))
+            _entity_check(enc, "CallStaticIntMethodA", (sub, mid, [1]))
         assert "declare" in str(exc_info.value)
 
     def test_receiver_not_instance_flagged(self, plain_vm):
@@ -268,7 +278,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("g", "()V"))
         stranger = JRef("local", plain_vm.new_object("java/lang/Object"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallVoidMethodA", (stranger, mid, []))
+            _entity_check(enc, "CallVoidMethodA", (stranger, mid, []))
 
     def test_field_kind_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -276,7 +286,7 @@ class TestEntityTypingMachine:
         fid = JFieldID(cls.find_field("n", "I"))
         obj = JRef("local", plain_vm.new_object("te/C"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "GetLongField", (obj, fid))
+            _entity_check(enc, "GetLongField", (obj, fid))
 
     def test_field_value_type_checked_on_write(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -284,8 +294,8 @@ class TestEntityTypingMachine:
         fid = JFieldID(cls.find_field("n", "I"))
         obj = JRef("local", plain_vm.new_object("te/C"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "SetIntField", (obj, fid, "not an int"))
-        enc.check(None, "SetIntField", (obj, fid, 3))
+            _entity_check(enc, "SetIntField", (obj, fid, "not an int"))
+        _entity_check(enc, "SetIntField", (obj, fid, 3))
 
     def test_non_id_handles_left_to_fixed_typing(self, plain_vm):
         enc = EntityTypingSpec().make_encoding(plain_vm)
@@ -293,7 +303,7 @@ class TestEntityTypingMachine:
             "local",
             plain_vm.class_object_of(plain_vm.require_class("java/lang/Object")),
         )
-        enc.check(None, "CallStaticVoidMethodA", (clazz, "bogus", []))
+        _entity_check(enc, "CallStaticVoidMethodA", (clazz, "bogus", []))
 
 
 class TestNullnessAndAccessControl:
